@@ -1040,10 +1040,9 @@ class NoPerQueryLiftLoops(LintRule):
     pipelines) whose body calls ``.lift_range(...)`` or
     ``.scalar_lift(...)`` re-aggregates the same data once per query —
     the O(queries x events) shape the shared substrate replaces.
-    Route per-query windows through the engine's shared group instead;
-    the only sanctioned per-query loop is the engine's own unshared
-    fallback (``REPRO_QUERY_SHARING=0``), which carries an explicit
-    suppression as the A/B oracle.
+    Route per-query windows through the engine's shared group
+    instead; the unshared A/B baseline lives in tests and benchmarks as
+    N single-query engines, never as a second path in ``repro``.
 
     Heuristic: a ``for`` statement is per-query when any name in its
     target or iterable contains ``quer`` (``query``, ``queries``,

@@ -118,12 +118,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admit a standing query on every local "
                             "stream (repeatable; e.g. --queries "
                             "sum:1000 --queries avg:700:350).  All "
-                            "queries share one slice store + partial "
-                            "tree per stream (REPRO_QUERY_SHARING=0 "
-                            "falls back to per-query pipelines with "
-                            "bit-identical results); one --queries "
-                            "flag is the single-query degenerate case "
-                            "of the same path")
+                            "queries share one event store per stream "
+                            "and one partial tree per stream and "
+                            "aggregate; one --queries flag is the "
+                            "single-query degenerate case of the same "
+                            "path")
         p.add_argument("--jobs", type=int, default=None,
                        help="worker processes for sweeps (default: "
                             "$REPRO_JOBS, then CPU count; 1 = serial)")

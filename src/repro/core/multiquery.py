@@ -1,108 +1,110 @@
-"""Shared multi-query engine: one slice store + partial tree per
-(stream, aggregate) serving thousands of standing queries.
+"""Shared multi-query engine: thousands of standing count-window
+queries served from one event store per stream and one partial tree per
+(stream, aggregate).
 
-The paper evaluates one query at a time; real IoT serving multiplexes
-thousands of *standing queries* (different lengths, slides, aggregates)
-over the same streams.  Run independently, every query pays its own
-buffer, its own event lifts, and its own
-:class:`~repro.core.agg_index.RangeAggregateIndex` — O(queries) copies
-of identical work.  This module shares the substrate instead:
+Run independently, every standing query pays its own buffer, event
+lifts and :class:`~repro.core.agg_index.RangeAggregateIndex`.  Here the
+per-batch cost scales with the number of windows *due* instead:
 
-``QueryRegistry``
-    Admission/removal bookkeeping.  Registered :class:`~repro.core.
-    query.Query` specs are deduped per (stream, aggregate) by their
-    content-derived :attr:`~repro.core.query.Query.query_key` — two
-    identical specs admitted at the same position share one evaluation
-    and each still receives every window in its own account.
+* **Event store** (per stream): one contiguous column store shared by
+  every aggregate group; every range read is a zero-copy view.
+* **Group** (per stream and aggregate): a partial tree over the store
+  plus an edge-slice memo, so each sub-chunk window edge is lifted once.
+  Identical specs admitted at the same position (same
+  :attr:`~repro.core.query.Query.query_key`) share one *evaluation*.
+* **Calendar** (per group): a heap keyed by next window end pops only
+  the evaluations that are due.
+* **Ledger** (per evaluation): each ``(index, result)`` pair is hashed
+  once for every subscribed :class:`QueryAccount`.
 
-Shared slice store (per ``(stream, aggregate)`` group)
-    One :class:`~repro.core.buffers.PositionBuffer` + one partial tree
-    answers ``lift_range`` for *every* query of the group.  Aligned
-    chunks are computed once in the tree; the sub-chunk remainders —
-    the *union of all registered windows' edges* — land in a shared
-    edge-slice memo (:mod:`repro.core.agg_index`'s ``edge_cache``), so
-    each edge slice is lifted once no matter how many windows touch it.
-    The grid those edges live on is the Scotty-style
-    :func:`~repro.windows.slicer.union_slice_size` of the group.
-
-Bit-identity contract (``REPRO_QUERY_SHARING``)
-    Every window value is ``fn.lower(buffer.lift_range(start, end))``
-    where the decomposition and combine association are pure functions
-    of ``(start, end, chunk_size)`` — never of what other queries are
-    registered or what happens to be memoized.  With sharing disabled
-    (``REPRO_QUERY_SHARING=0``) each query runs a fully independent
-    pipeline (private buffer, private tree, no dedup, no edge memo) and
-    computes the *same* decomposition, so per-query results and
-    fingerprints are bit-identical in both modes; sharing changes only
-    memory and host wall-clock.
-
-Cost accounting
-    Each admitted query owns a :class:`QueryAccount`: windows emitted,
-    a streaming result fingerprint, and the combine/edge-lift cost its
-    evaluation actually paid.  In shared mode a deduped duplicate pays
-    nothing (``deduped_into`` names the owning query); in unshared mode
-    it pays full freight — the delta *is* the sharing benefit.  When a
-    tracer is enabled the same quantities surface as ``mq_*`` counters
-    scoped per query id.
+Bit-identity contract: every window value is
+``fn.lower(index.lift_range(start, end))``, whose decomposition and
+combine association are pure functions of ``(start, end, chunk_size)``
+— never of what else is registered or memoized.  An engine serving N
+queries therefore yields the same per-query fingerprints as N engines
+serving one query each; sharing changes only memory and wall-clock.
+Accounts also book the combine/edge-lift cost their evaluation paid (a
+deduped duplicate pays nothing); an enabled tracer sees the same
+quantities as ``mq_*`` counters scoped per query id.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, fields
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any
 
+import numpy as np
+
 from repro.aggregates.base import AggregateFunction
-from repro.core.agg_index import DEFAULT_CHUNK_SIZE, decomposition_width
-from repro.core.buffers import PositionBuffer
+from repro.core.agg_index import (DEFAULT_CHUNK_SIZE, RangeAggregateIndex,
+                                  decomposition_width,
+                                  index_enabled_default)
 from repro.core.query import Query, parse_query_spec
 from repro.errors import ConfigurationError
-from repro.streams.batch import EventBatch
+from repro.obs.tracer import NULL_TRACER
+from repro.streams.batch import ID_DTYPE, TS_DTYPE, VALUE_DTYPE, EventBatch
 from repro.windows.base import SlidingCountWindow, TumblingCountWindow
-from repro.windows.slicer import union_slice_size
 
-#: Environment escape hatch for A/B benchmarking: with
-#: ``REPRO_QUERY_SHARING=0`` every standing query runs an independent
-#: pipeline (private buffer + tree, no dedup).  Results stay
-#: bit-identical — only memory and host wall-clock change.
-QUERY_SHARING_ENV = "REPRO_QUERY_SHARING"
+#: Smallest event-store capacity (events per column).
+_STORE_MIN = 4096
 
-
-def query_sharing_default() -> bool:
-    """Whether new engines share storage (``REPRO_QUERY_SHARING``)."""
-    raw = os.environ.get(QUERY_SHARING_ENV, "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
+#: Lazily deleted calendar entries tolerated beyond the live ones
+#: before a group rebuilds its heaps.
+_HEAP_SLACK = 32
 
 
-def _count_window(query: Query) -> tuple[int, int]:
-    """(length, step) of a count-window query; rejects other measures."""
-    win = query.window
+def _count_window(query: Query) -> tuple[int, int, AggregateFunction]:
+    """(length, step, aggregate) of a count-window query; rejects other
+    measures."""
+    win, agg = query.window, query.aggregate
+    if not isinstance(agg, AggregateFunction):  # pragma: no cover
+        raise ConfigurationError(f"unresolved aggregate {agg!r}")
     if isinstance(win, SlidingCountWindow):
-        return win.length, win.step
+        return win.length, win.step, agg
     if isinstance(win, TumblingCountWindow):
-        return win.length, win.length
+        return win.length, win.length, agg
     raise ConfigurationError(
         "the multi-query engine serves count windows (tumbling or "
         f"sliding); got {type(win).__name__}")
 
 
-def _aggregate_of(query: Query) -> AggregateFunction:
-    agg = query.aggregate
-    if not isinstance(agg, AggregateFunction):  # pragma: no cover
-        raise ConfigurationError(f"unresolved aggregate {agg!r}")
-    return agg
+class _QueryEval:
+    """One shared evaluation — a unique (spec, admission position) in a
+    group — and the result ledger of every subscribed account."""
+
+    __slots__ = ("key", "step", "start", "end", "next_window", "seq",
+                 "live", "subscribers", "digest", "last_result", "results")
+
+    def __init__(self, key: tuple[str, int], length: int, step: int,
+                 start: int, seq: int, keep_results: bool) -> None:
+        self.key = key
+        self.step = step
+        #: Next window: span ``[start, end)``, index ``next_window``
+        #: (also the ledger's window count).
+        self.start = start
+        self.end = start + length
+        self.next_window = 0
+        self.seq = seq
+        self.live = True
+        self.subscribers: list[QueryAccount] = []
+        self.digest: Any = hashlib.sha256()
+        self.last_result: float | None = None
+        self.results: list[tuple[int, float]] | None = (
+            [] if keep_results else None)
 
 
 @dataclass
 class QueryAccount:
     """Per-query results fingerprint and cost ledger.
 
-    ``fingerprint`` streams over ``(window_index, result-bits)`` pairs
-    in emission order — the quantity the ``REPRO_QUERY_SHARING`` A/B
-    gate compares.  ``combines``/``edge_events`` record the evaluation
-    cost this query actually paid: a deduped duplicate in shared mode
-    pays nothing and points at its owner via ``deduped_into``.
+    While the query is active its result fields mirror the shared
+    ledger of its evaluation (synced whenever the engine hands accounts
+    out); removal freezes a copy.  ``combines``/``edge_events`` are the
+    evaluation cost this query paid: a deduped duplicate pays nothing
+    and names its owner in ``deduped_into``.
     """
 
     qid: str
@@ -120,176 +122,190 @@ class QueryAccount:
     #: built with ``keep_results=True`` (tests/benchmarks only).
     results: list[tuple[int, float]] | None = None
     _digest: Any = field(default_factory=hashlib.sha256, repr=False)
+    _ev: _QueryEval | None = field(default=None, repr=False,
+                                   compare=False)
 
-    def record(self, index: int, result: float) -> None:
-        self.windows += 1
-        self.last_result = result
-        self._digest.update(f"{index}:{result.hex()};".encode("ascii"))
+    def sync(self) -> None:
+        """Copy the shared ledger's totals (no-op once removed)."""
+        ev = self._ev
+        if ev is not None:
+            self.windows = ev.next_window
+            self.last_result = ev.last_result
+            self.results = ev.results
+            self._digest = ev.digest
+
+    def detach(self) -> None:
+        """Freeze a private snapshot of the ledger."""
+        self.sync()
+        self._digest = self._digest.copy()
         if self.results is not None:
-            self.results.append((index, result))
+            self.results = list(self.results)
+        self._ev = None
 
     @property
     def fingerprint(self) -> str:
-        """Hash over every emitted ``(window_index, result)`` pair,
-        ``float.hex`` bits, in emission order."""
+        """Hash over every emitted ``(window_index, result.hex())``."""
         return str(self._digest.hexdigest())
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "qid": self.qid,
-            "stream": self.stream,
-            "label": self.label,
-            "query_key": self.query_key,
-            "from_position": self.from_position,
-            "removed_at": self.removed_at,
-            "deduped_into": self.deduped_into,
-            "windows": self.windows,
-            "combines": self.combines,
-            "edge_events": self.edge_events,
-            "last_result": self.last_result,
-            "fingerprint": self.fingerprint,
-        }
-
-
-@dataclass
-class _QueryEval:
-    """One shared evaluation: a unique (spec, admission position) in a
-    group, serving every subscribed account."""
-
-    length: int
-    step: int
-    from_position: int
-    next_window: int = 0
-    subscribers: list[QueryAccount] = field(default_factory=list)
-
-    @property
-    def next_start(self) -> int:
-        return self.from_position + self.next_window * self.step
-
-
-class _StreamGroup:
-    """Shared storage for one (stream, aggregate): one buffer, one
-    partial tree, one edge-slice memo, many evaluations."""
-
-    def __init__(self, stream: str, fn: AggregateFunction, *,
-                 base: int, chunk_size: int) -> None:
-        self.stream = stream
-        self.fn = fn
-        self.edge_slices: dict[tuple[int, int], Any] = {}
-        self.buffer = PositionBuffer(
-            base, fn, chunk_size=chunk_size, edge_cache=self.edge_slices)
-        #: Evaluations keyed (query_key, from_position), admission
-        #: order — iteration order is the deterministic emission order.
-        self.evals: dict[tuple[str, int], _QueryEval] = {}
-        #: Registered window specs (for the union-of-edges slice grid).
-        self.specs: list[TumblingCountWindow | SlidingCountWindow] = []
-
-    @property
-    def slice_grid(self) -> int:
-        """Scotty-style union-of-edges slice size of the group."""
-        return union_slice_size(self.specs)
-
-    def stats(self) -> dict[str, Any]:
-        index = self.buffer.index
-        out: dict[str, Any] = {
-            "stream": self.stream,
-            "aggregate": self.fn.name,
-            "queries": sum(len(e.subscribers) for e in self.evals.values()),
-            "evals": len(self.evals),
-            "slice_grid": self.slice_grid,
-            "retained": self.buffer.retained,
-            "edge_slices": len(self.edge_slices),
-        }
-        if index is not None:
-            out["nodes_cached"] = index.nodes_cached
-            out["edge_hits"] = index.edge_hits
-            out["edge_misses"] = index.edge_misses
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("results", "_digest", "_ev")}
+        out["fingerprint"] = self.fingerprint
         return out
 
 
-class _PrivatePipeline:
-    """Unshared-mode evaluation: one query, its own buffer + tree."""
+class _EventStore:
+    """One stream's retained events in three contiguous columns;
+    ``get_range`` is a zero-copy view.  An overflowing append moves the
+    live events to fresh arrays of twice their size (earlier views stay
+    valid; the copy is amortized O(1) per event)."""
 
-    def __init__(self, account: QueryAccount, fn: AggregateFunction, *,
-                 length: int, step: int, base: int,
-                 chunk_size: int) -> None:
-        self.account = account
-        self.fn = fn
-        self.length = length
-        self.step = step
-        self.buffer = PositionBuffer(base, fn, chunk_size=chunk_size)
-        self.next_window = 0
+    def __init__(self, base: int) -> None:
+        self.base = self.end = base
+        self._off = 0  # array index of ``base``
+        self._cols = [np.empty(_STORE_MIN, dtype)
+                      for dtype in (ID_DTYPE, VALUE_DTYPE, TS_DTYPE)]
 
-    @property
-    def next_start(self) -> int:
-        return (self.account.from_position
-                + self.next_window * self.step)
+    def append(self, batch: EventBatch) -> None:
+        n = len(batch)
+        live = self.end - self.base
+        lo = self._off + live
+        if lo + n > len(self._cols[0]):
+            cap = max(_STORE_MIN, 2 * (live + n))
+            fresh = [np.empty(cap, col.dtype) for col in self._cols]
+            for new, old in zip(fresh, self._cols, strict=True):
+                new[:live] = old[self._off:lo]
+            self._cols, self._off, lo = fresh, 0, live
+        for col, src in zip(self._cols, (batch.ids, batch.values, batch.ts),
+                            strict=True):
+            col[lo:lo + n] = src
+        self.end += n
+
+    def release_before(self, position: int) -> None:
+        if position > self.base:
+            self._off += position - self.base
+            self.base = position
+
+    def get_range(self, start: int, end: int) -> EventBatch:
+        i = start - self.base + self._off
+        j = i + end - start
+        ids, values, ts = self._cols
+        return EventBatch._view(ids[i:j], values[i:j], ts[i:j])
 
 
-class QueryRegistry:
-    """Admission-ordered registry of standing queries.
-
-    Pure bookkeeping (no storage): maps query ids to accounts, dedups
-    specs by :attr:`Query.query_key` per (stream, aggregate, admission
-    position), and hands out deterministic ids ``q0, q1, ...`` when the
-    caller does not name them.
-    """
+class _EdgeMemo(dict[tuple[int, int], Any]):
+    """Edge-slice memo (``(start, end) -> partial``) that evicts in
+    start order from a heap of its keys."""
 
     def __init__(self) -> None:
-        self._accounts: dict[str, QueryAccount] = {}
-        self._next = 0
+        super().__init__()
+        self._order: list[tuple[int, int]] = []
 
-    def new_qid(self) -> str:
-        qid = f"q{self._next}"
-        self._next += 1
-        return qid
+    def __setitem__(self, key: tuple[int, int], value: Any) -> None:
+        heappush(self._order, key)
+        super().__setitem__(key, value)
 
-    def add(self, account: QueryAccount) -> None:
-        if account.qid in self._accounts:
-            raise ConfigurationError(
-                f"duplicate query id {account.qid!r}")
-        self._accounts[account.qid] = account
+    def evict_before(self, position: int) -> None:
+        order = self._order
+        while order and order[0][0] < position:
+            self.pop(heappop(order), None)
 
-    def get(self, qid: str) -> QueryAccount:
-        try:
-            return self._accounts[qid]
-        except KeyError:
-            raise ConfigurationError(f"unknown query id {qid!r}") from None
 
-    def accounts(self) -> dict[str, QueryAccount]:
-        """All accounts (including removed), admission order."""
-        return dict(self._accounts)
+class _StreamGroup:
+    """One (stream, aggregate): a partial tree over the stream's store,
+    an edge-slice memo, and the calendar of its evaluations."""
 
-    def __len__(self) -> int:
-        return len(self._accounts)
+    def __init__(self, stream: str, fn: AggregateFunction,
+                 store: _EventStore, *, chunk_size: int) -> None:
+        self.stream = stream
+        self.fn = fn
+        self.store = store
+        self.edge_slices = _EdgeMemo()
+        self.index: RangeAggregateIndex | None = None
+        if fn.is_decomposable:
+            self.index = RangeAggregateIndex(
+                fn, store.get_range, base=store.end,
+                chunk_size=chunk_size, caching=index_enabled_default(),
+                edge_cache=self.edge_slices)
+        #: Live evaluations keyed (query_key, from_position).
+        self.evals: dict[tuple[str, int], _QueryEval] = {}
+        #: Calendar: ``(next window end, seq, eval)``.
+        self.due: list[tuple[int, int, _QueryEval]] = []
+        #: ``(lower bound of next window start, seq, eval)``; the top is
+        #: refreshed on demand, so the exact minimum is cheap to find.
+        self.starts: list[tuple[int, int, _QueryEval]] = []
+        self.released = store.end
+
+    def add(self, ev: _QueryEval) -> None:
+        self.evals[ev.key] = ev
+        heappush(self.due, (ev.end, ev.seq, ev))
+        heappush(self.starts, (ev.start, ev.seq, ev))
+
+    def drop(self, ev: _QueryEval) -> int:
+        """Retire ``ev`` and return the live count.  Heap entries are
+        deleted lazily; both heaps are rebuilt once dead ones dominate."""
+        ev.live = False
+        del self.evals[ev.key]
+        bound = 2 * len(self.evals) + _HEAP_SLACK
+        if len(self.due) > bound or len(self.starts) > bound:
+            live = self.evals.values()
+            self.due = [(e.end, e.seq, e) for e in live]
+            self.starts = [(e.start, e.seq, e) for e in live]
+            heapify(self.due)
+            heapify(self.starts)
+        return len(self.evals)
+
+    def horizon(self) -> int:
+        """Smallest next-window start over the live evaluations."""
+        starts = self.starts
+        while True:
+            key, seq, ev = starts[0]
+            if not ev.live:
+                heappop(starts)
+            elif key == ev.start:
+                return key
+            else:
+                heapreplace(starts, (ev.start, seq, ev))
+
+    def stats(self) -> dict[str, Any]:
+        index = self.index
+        return {
+            "stream": self.stream, "aggregate": self.fn.name,
+            "queries": sum(len(e.subscribers) for e in self.evals.values()),
+            "evals": len(self.evals),
+            "retained": self.store.end - self.store.base,
+            "edge_slices": len(self.edge_slices),
+            "calendar": max(len(self.due), len(self.starts)),
+            "nodes_cached": 0 if index is None else index.nodes_cached,
+        }
 
 
 class MultiQueryEngine:
-    """Standing-query evaluator over per-node streams.
+    """Standing-query evaluator fed from every local node's ingest path.
 
-    Fed from each local behavior's ingest path (every scheme), the
-    engine maintains one shared group per (stream, aggregate) — or one
-    private pipeline per query with ``sharing=False`` — and emits every
-    completed window into the owning accounts.  Admission and removal
-    are positional: a query admitted at stream position ``p`` sees
-    exactly the windows ``[p + k*step, p + k*step + length)``, so
-    simulator, lockstep, and epoch runtimes agree bit-for-bit.
+    Admission and removal are positional: a query admitted at stream
+    position ``p`` sees exactly the windows ``[p + k*step, p + k*step +
+    length)``, so simulator, lockstep and epoch runtimes agree
+    bit-for-bit.
     """
 
-    def __init__(self, *, sharing: bool | None = None,
-                 chunk_size: int = DEFAULT_CHUNK_SIZE,
+    def __init__(self, *, chunk_size: int = DEFAULT_CHUNK_SIZE,
                  tracer: Any = None,
                  keep_results: bool = False) -> None:
-        self.sharing = query_sharing_default() if sharing is None else sharing
         self.chunk_size = chunk_size
-        self.tracer = tracer
+        self.tracer = NULL_TRACER if tracer is None else tracer
         self.keep_results = keep_results
-        self.registry = QueryRegistry()
-        self._groups: dict[tuple[str, str], _StreamGroup] = {}
-        self._query_pipes: dict[str, list[_PrivatePipeline]] = {}
-        #: Shared-mode reverse route: qid -> (group key, eval key).
-        self._routes: dict[str, tuple[tuple[str, str], tuple[str, int]]] = {}
+        #: Every account (removed ones too), in admission order.
+        self._accounts: dict[str, QueryAccount] = {}
+        self._auto_ids = 0
+        #: Evaluation sequence: the calendar's tie-break.
+        self._seq = itertools.count()
         self._stream_end: dict[str, int] = {}
+        self._stores: dict[str, _EventStore] = {}
+        #: stream -> aggregate name -> group.
+        self._groups: dict[str, dict[str, _StreamGroup]] = {}
+        #: Active queries: qid -> (group, evaluation).
+        self._routes: dict[str, tuple[_StreamGroup, _QueryEval]] = {}
 
     # -- admission / removal -----------------------------------------------
 
@@ -297,211 +313,190 @@ class MultiQueryEngine:
               at: int | None = None, qid: str | None = None) -> str:
         """Register a standing query on ``stream``; returns its id.
 
-        ``at`` is the absolute stream position the query's first window
-        starts at — it must not precede the stream's current position
-        (admission is forward-only, so both sharing modes and all
-        runtimes see identical data).  Defaults to the current
-        position.  ``qid`` may be supplied for cross-process admission
-        (serve ops broadcast explicit ids so every worker agrees).
+        ``at`` is the absolute position of the first window's start
+        (default: the current position); admission is forward-only, so
+        every runtime sees identical data.  Serve ops pass an explicit
+        ``qid`` so every worker agrees on it.
         """
         if isinstance(query, str):
             query = parse_query_spec(query)
-        length, step = _count_window(query)
-        fn = _aggregate_of(query)
+        length, step, fn = _count_window(query)
         pos = self._stream_end.get(stream, 0)
         start = pos if at is None else at
         if start < pos:
             raise ConfigurationError(
                 f"admission at {start} precedes stream position {pos}: "
                 "admission is forward-only")
-        qid = self.registry.new_qid() if qid is None else qid
-        account = QueryAccount(
+        if qid is None:
+            qid = f"q{self._auto_ids}"
+            self._auto_ids += 1
+        if qid in self._accounts:
+            raise ConfigurationError(f"duplicate query id {qid!r}")
+        account = self._accounts[qid] = QueryAccount(
             qid=qid, stream=stream, label=query.label,
             query_key=query.query_key, from_position=start)
-        if self.keep_results:
-            account.results = []
-        self.registry.add(account)
-        if self.sharing:
-            self._admit_shared(account, query, fn, length, step, start)
-        else:
-            pipe = _PrivatePipeline(
-                account, fn, length=length, step=step, base=pos,
-                chunk_size=self.chunk_size)
-            self._query_pipes.setdefault(stream, []).append(pipe)
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.inc("mq_admitted", stream)
-        return qid
-
-    def _admit_shared(self, account: QueryAccount, query: Query,
-                      fn: AggregateFunction, length: int, step: int,
-                      start: int) -> None:
-        stream = account.stream
-        gkey = (stream, fn.name)
-        group = self._groups.get(gkey)
+        store = self._stores.get(stream)
+        if store is None:
+            store = self._stores[stream] = _EventStore(pos)
+        groups = self._groups.setdefault(stream, {})
+        group = groups.get(fn.name)
         if group is None:
-            group = _StreamGroup(
-                stream, fn, base=self._stream_end.get(stream, 0),
-                chunk_size=self.chunk_size)
-            self._groups[gkey] = group
+            group = groups[fn.name] = _StreamGroup(
+                stream, fn, store, chunk_size=self.chunk_size)
         ekey = (query.query_key, start)
         ev = group.evals.get(ekey)
         if ev is None:
-            ev = _QueryEval(length, step, start)
-            group.evals[ekey] = ev
+            ev = _QueryEval(ekey, length, step, start, next(self._seq),
+                            self.keep_results)
+            group.add(ev)
         else:
             account.deduped_into = ev.subscribers[0].qid
         ev.subscribers.append(account)
-        group.specs.append(SlidingCountWindow(length, step)
-                           if step < length else TumblingCountWindow(length))
-        self._routes[account.qid] = (gkey, ekey)
+        account._ev = ev
+        account.sync()
+        self._routes[qid] = (group, ev)
+        if self.tracer.enabled:
+            self.tracer.inc("mq_admitted", stream)
+        return qid
 
     def remove(self, qid: str) -> QueryAccount:
         """Stop a standing query; its account (and fingerprint over the
         windows it did see) is retained.  Surviving queries' window
         values are pure functions of their own spans, so removal never
         perturbs them — it only relaxes the eviction horizon."""
-        account = self.registry.get(qid)
+        account = self.account(qid)
         if account.removed_at is not None:
             raise ConfigurationError(f"query {qid!r} already removed")
         stream = account.stream
         account.removed_at = self._stream_end.get(stream, 0)
-        if self.sharing:
-            gkey, ekey = self._routes.pop(qid)
-            group = self._groups[gkey]
-            ev = group.evals[ekey]
-            ev.subscribers = [a for a in ev.subscribers if a.qid != qid]
-            if not ev.subscribers:
-                del group.evals[ekey]
-            if not group.evals:
-                del self._groups[gkey]
-        else:
-            pipes = self._query_pipes.get(stream, [])
-            self._query_pipes[stream] = [
-                p for p in pipes if p.account.qid != qid]
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.inc("mq_removed", stream)
+        group, ev = self._routes.pop(qid)
+        account.detach()
+        ev.subscribers = [a for a in ev.subscribers if a is not account]
+        if not ev.subscribers and not group.drop(ev):
+            groups = self._groups[stream]
+            del groups[group.fn.name]
+            if not groups:
+                del self._groups[stream], self._stores[stream]
+        if self.tracer.enabled:
+            self.tracer.inc("mq_removed", stream)
         return account
 
     # -- ingestion ----------------------------------------------------------
 
     def append(self, stream: str, batch: EventBatch) -> None:
         """Feed events arriving on ``stream`` in order; emits every
-        window the batch completes into the subscribed accounts."""
+        window the batch completes into its evaluation's ledger."""
         n = len(batch)
         if n == 0:
             return
         self._stream_end[stream] = self._stream_end.get(stream, 0) + n
-        if self.sharing:
-            for (s, _agg), group in self._groups.items():
-                if s == stream:
-                    self._feed_group(group, batch)
+        store = self._stores.get(stream)
+        if store is None:
             return
-        # A/B baseline: with sharing disabled every standing query pays
-        # its own buffer append, tree extension, and range lift — the
-        # per-query loop DL011 exists to flag, kept deliberately as the
-        # bit-identity oracle for the shared path.
-        for pipe in self._query_pipes.get(stream, ()):  # decolint: disable=DL011
-            buf = pipe.buffer
-            buf.append(batch)
-            end = buf.end
-            account = pipe.account
-            fn = pipe.fn
-            while pipe.next_start + pipe.length <= end:
-                s = pipe.next_start
-                e = s + pipe.length
-                value = float(fn.lower(buf.lift_range(s, e)))
-                self._charge(account, s, e, fn)
-                account.record(pipe.next_window, value)
-                self._trace_window(account)
-                pipe.next_window += 1
-            horizon = pipe.next_start
-            if horizon > buf.base:
-                buf.release_before(horizon)
-
-    def _feed_group(self, group: _StreamGroup, batch: EventBatch) -> None:
-        buf = group.buffer
-        buf.append(batch)
-        end = buf.end
-        fn = group.fn
+        store.append(batch)
+        end = store.end
         horizon = end
-        for ev in group.evals.values():
-            while ev.next_start + ev.length <= end:
-                s = ev.next_start
-                e = s + ev.length
-                value = float(fn.lower(buf.lift_range(s, e)))
-                self._charge(ev.subscribers[0], s, e, fn)
-                for account in ev.subscribers:
-                    account.record(ev.next_window, value)
-                    self._trace_window(account)
-                ev.next_window += 1
-            horizon = min(horizon, ev.next_start)
-        if horizon > buf.base:
-            buf.release_before(horizon)
-            dead = [k for k in group.edge_slices if k[0] < horizon]
-            for k in dead:
-                del group.edge_slices[k]
+        for group in self._groups[stream].values():
+            horizon = min(horizon, self._feed_group(group, end))
+        store.release_before(horizon)
 
-    def _charge(self, account: QueryAccount, start: int, end: int,
-                fn: AggregateFunction) -> None:
-        """Book the evaluation cost of one window lift to ``account``."""
-        if fn.is_decomposable:
-            width = decomposition_width(start, end, self.chunk_size)
-            combines = max(0, width - 1)
-            size = self.chunk_size
-            head_end = min(end, -(-start // size) * size)
-            tail_start = max(head_end, (end // size) * size)
-            edge = (head_end - start) + (end - tail_start)
-        else:
-            # Holistic windows re-lift their whole span.
-            combines = 0
-            edge = end - start
-        account.combines += combines
-        account.edge_events += edge
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.inc("mq_combines", account.qid, combines)
+    def _feed_group(self, group: _StreamGroup, end: int) -> int:
+        """Evaluate the group's due windows; returns its horizon."""
+        index = group.index
+        if index is not None:
+            index.extend(end)
+        due = group.due
+        while due and due[0][0] <= end:
+            ev = due[0][2]
+            if ev.live:
+                self._evaluate(group, ev, end)
+                heapreplace(due, (ev.end, ev.seq, ev))
+            else:
+                heappop(due)
+        horizon = min(group.horizon(), end)
+        if horizon > group.released:
+            group.released = horizon
+            if index is not None:
+                index.release_before(horizon)
+            group.edge_slices.evict_before(horizon)
+        return horizon
 
-    def _trace_window(self, account: QueryAccount) -> None:
+    def _evaluate(self, group: _StreamGroup, ev: _QueryEval,
+                  end: int) -> None:
+        """Emit every window of ``ev`` ending by ``end`` into its ledger,
+        once for all subscribers; the owner pays the lift cost."""
+        fn, index, size = group.fn, group.index, self.chunk_size
+        first = ev.next_window
+        combines = edge = 0
+        while ev.end <= end:
+            s, e = ev.start, ev.end
+            if index is None:
+                # Holistic windows re-lift their whole span.
+                value = float(fn.lower(fn.lift(group.store.get_range(s, e))))
+                edge += e - s
+            else:
+                value = float(fn.lower(index.lift_range(s, e)))
+                combines += max(0, decomposition_width(s, e, size) - 1)
+                head_end = min(e, -(-s // size) * size)
+                tail_start = max(head_end, (e // size) * size)
+                edge += (head_end - s) + (e - tail_start)
+            i = ev.next_window
+            ev.digest.update(f"{i}:{value.hex()};".encode("ascii"))
+            ev.last_result = value
+            if ev.results is not None:
+                ev.results.append((i, value))
+            ev.next_window = i + 1
+            ev.start = s + ev.step
+            ev.end = e + ev.step
+        owner = ev.subscribers[0]
+        owner.combines += combines
+        owner.edge_events += edge
         tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.inc("mq_windows", account.qid)
+        if tracer.enabled:
+            tracer.inc("mq_combines", owner.qid, combines)
+            for account in ev.subscribers:
+                tracer.inc("mq_windows", account.qid,
+                           ev.next_window - first)
 
     # -- introspection ------------------------------------------------------
 
     @property
     def n_active(self) -> int:
         """Standing queries currently admitted and not removed."""
-        return sum(1 for a in self.registry.accounts().values()
-                   if a.removed_at is None)
+        return len(self._routes)
 
     def account(self, qid: str) -> QueryAccount:
-        return self.registry.get(qid)
+        account = self._accounts.get(qid)
+        if account is None:
+            raise ConfigurationError(f"unknown query id {qid!r}")
+        account.sync()
+        return account
 
     def accounts(self) -> dict[str, QueryAccount]:
         """All accounts (including removed), admission order."""
-        return self.registry.accounts()
+        for account in self._accounts.values():
+            account.sync()
+        return dict(self._accounts)
 
     def accounts_json(self) -> dict[str, dict[str, Any]]:
         """JSON-safe per-query accounts (``RunResult.queries``)."""
-        return {qid: a.to_json()
-                for qid, a in self.registry.accounts().items()}
+        return {qid: a.to_json() for qid, a in self.accounts().items()}
 
     def fingerprints(self) -> dict[str, str]:
         """Per-query result fingerprints (A/B gate convenience)."""
-        return {qid: a.fingerprint
-                for qid, a in self.registry.accounts().items()}
+        return {qid: a.fingerprint for qid, a in self.accounts().items()}
 
     def stats(self) -> dict[str, Any]:
         """Engine-level storage statistics (benchmarks, tests)."""
         return {
-            "sharing": self.sharing,
-            "groups": [g.stats() for g in self._groups.values()],
-            "pipelines": sum(len(p) for p in self._query_pipes.values()),
+            "streams": {s: {"retained": st.end - st.base,
+                            "capacity": len(st._cols[0])}
+                        for s, st in self._stores.items()},
+            "groups": [g.stats() for groups in self._groups.values()
+                       for g in groups.values()],
+            "routes": len(self._routes),
         }
 
     def __repr__(self) -> str:
-        return (f"MultiQueryEngine(sharing={self.sharing}, "
-                f"queries={len(self.registry)}, "
-                f"groups={len(self._groups)})")
+        return (f"MultiQueryEngine(queries={len(self._accounts)}, "
+                f"groups={sum(map(len, self._groups.values()))})")

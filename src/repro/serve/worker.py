@@ -23,8 +23,8 @@ Environment:
   tests: the process hard-exits before replying to its ``n``-th
   dispatch, simulating a node crash mid-window.
 * ``REPRO_WIRE_CODEC`` / ``REPRO_AGG_INDEX`` / ``REPRO_WORKLOAD_CACHE``
-  / ``REPRO_QUERY_SHARING`` are honoured exactly as in the simulator
-  (the harness forwards them).
+  are honoured exactly as in the simulator (the harness forwards
+  them).
 """
 
 from __future__ import annotations

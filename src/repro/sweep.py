@@ -23,10 +23,7 @@ debuggable (breakpoints, pdb, exceptions with full local state).
 
 Standing queries sweep too: a :class:`RunConfig` with ``queries`` set
 admits those specs on every local stream, and each result carries the
-per-query accounts (``RunResult.queries``).  The sharing toggle
-(``REPRO_QUERY_SHARING``) is part of the propagated environment, so an
-A/B sweep of shared vs. unshared multi-query execution parallelizes
-like any other.
+per-query accounts (``RunResult.queries``).
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ JOBS_ENV = "REPRO_JOBS"
 #: start-up.  The initializer pins the contract instead: every worker
 #: starts from the parent's values as of the moment the sweep ran.
 PROPAGATED_ENV = ("REPRO_WIRE_CODEC", "REPRO_AGG_INDEX",
-                  "REPRO_WORKLOAD_CACHE", "REPRO_QUERY_SHARING")
+                  "REPRO_WORKLOAD_CACHE")
 
 
 def snapshot_env() -> dict[str, str]:

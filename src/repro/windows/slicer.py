@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Deque
 
@@ -104,24 +103,6 @@ class CountSlicer:
                 self._slices.popleft()
                 self._first_slice += 1
         return out
-
-
-def union_slice_size(
-        specs: Iterable[TumblingCountWindow | SlidingCountWindow]) -> int:
-    """Shared slice size for a *set* of count windows: the gcd of every
-    registered length and step, so all windows' edges fall on slice
-    boundaries (the union of the windows' edges is a subset of the
-    slice grid).  Scotty's per-query ``gcd(length, step)`` generalizes
-    to this when many standing queries share one stream; the
-    multi-query engine reports it as each group's ``slice_grid``.
-    Returns 0 for an empty set (``gcd`` identity).
-    """
-    g = 0
-    for spec in specs:
-        step = (spec.step if isinstance(spec, SlidingCountWindow)
-                else spec.length)
-        g = math.gcd(g, math.gcd(spec.length, step))
-    return g
 
 
 def naive_window_cost(n_events: int, length: int, step: int) -> int:

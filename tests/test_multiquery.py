@@ -1,13 +1,17 @@
 """Shared multi-query engine: identity, dedup, admission/removal, and
-the ``REPRO_QUERY_SHARING`` A/B bit-identity gate.
+the sharing A/B bit-identity gate.
 
 The engine (``repro.core.multiquery``) must be invisible except for
 memory and host wall-clock: for every query population, every
 admission/removal point, and every scheme, each query's full result
-stream is bit-identical with sharing on (``REPRO_QUERY_SHARING=1``,
-the default) or off.  Hypothesis drives populations and admission
-points; the scheme-level tests compare full determinism fingerprints.
+stream is bit-identical whether one engine serves every query
+(sharing on) or every query runs in its own single-query engine
+(sharing off).  Hypothesis drives populations and admission points;
+the scheme-level tests compare full determinism fingerprints.
 """
+
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +22,7 @@ import repro.baselines  # noqa: F401
 import repro.core  # noqa: F401
 from repro.analysis.determinism import Fingerprint, check_determinism
 from repro.analysis.fsm import assert_fsm_conformance
-from repro.core.multiquery import (MultiQueryEngine, QUERY_SHARING_ENV,
-                                   query_sharing_default)
+from repro.core.multiquery import MultiQueryEngine
 from repro.core.query import Query, parse_query_spec
 from repro.core.runner import RunConfig, run_scheme
 from repro.errors import ConfigurationError
@@ -46,16 +49,60 @@ def value_batch(rng, n, start=0):
                       np.arange(start, start + n))
 
 
+class SingleQueryEngines:
+    """The unshared baseline: every query in its own
+    :class:`MultiQueryEngine`, behind the same admit / remove / append
+    surface.  A late admission gets a fresh engine that is first
+    replayed the stream so far, so it sees the same positions."""
+
+    def __init__(self, **engine_kwargs):
+        self._kwargs = engine_kwargs
+        self._engines = {}
+        self._history = {}
+
+    def admit(self, stream, spec):
+        qid = f"q{len(self._engines)}"
+        engine = MultiQueryEngine(**self._kwargs)
+        for batch in self._history.get(stream, ()):
+            engine.append(stream, batch)
+        engine.admit(stream, spec, qid=qid)
+        self._engines[qid] = engine
+        return qid
+
+    def remove(self, qid):
+        return self._engines[qid].remove(qid)
+
+    def append(self, stream, batch):
+        self._history.setdefault(stream, []).append(batch)
+        for engine in self._engines.values():
+            engine.append(stream, batch)
+
+    def accounts(self):
+        return {qid: e.account(qid) for qid, e in self._engines.items()}
+
+    def account(self, qid):
+        return self._engines[qid].account(qid)
+
+    def fingerprints(self):
+        return {qid: a.fingerprint for qid, a in self.accounts().items()}
+
+    @property
+    def n_active(self):
+        return sum(e.n_active for e in self._engines.values())
+
+
 def feed_engine(specs, chunks, *, sharing, admissions=None,
                 removals=None):
     """Drive one engine lifetime; returns the engine.
 
+    ``sharing=False`` drives :class:`SingleQueryEngines` instead.
     ``chunks`` is a list of batch sizes; ``admissions`` maps a chunk
     index to extra specs admitted right before that chunk is fed;
     ``removals`` maps a chunk index to qids removed there.
     """
     rng = np.random.default_rng(7)
-    engine = MultiQueryEngine(sharing=sharing, chunk_size=64)
+    engine = (MultiQueryEngine(chunk_size=64) if sharing
+              else SingleQueryEngines(chunk_size=64))
     for spec in specs:
         engine.admit(STREAM, spec)
     pos = 0
@@ -109,12 +156,6 @@ class TestQueryIdentity:
 
 
 class TestEngineBasics:
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(QUERY_SHARING_ENV, raising=False)
-        assert query_sharing_default()
-        monkeypatch.setenv(QUERY_SHARING_ENV, "0")
-        assert not query_sharing_default()
-
     def test_dedup_shares_one_evaluation(self):
         engine = feed_engine(["sum:96", "sum:96", "avg:96:32"],
                              [256, 256], sharing=True)
@@ -141,7 +182,7 @@ class TestEngineBasics:
             engine.admit(STREAM, "sum:32", at=4)
 
     def test_registry_errors(self):
-        engine = MultiQueryEngine(sharing=True)
+        engine = MultiQueryEngine()
         engine.admit(STREAM, "sum:64", qid="qx")
         with pytest.raises(ConfigurationError):
             engine.admit(STREAM, "avg:64", qid="qx")
@@ -164,12 +205,139 @@ class TestEngineBasics:
         assert "MultiQueryEngine" in repr(engine)
         assert engine.n_active == 2
         stats = engine.stats()
-        assert stats["sharing"] is True
         assert {g["aggregate"] for g in stats["groups"]} == \
             {"sum", "avg"}
-        grid = [g for g in stats["groups"]
-                if g["aggregate"] == "avg"][0]["slice_grid"]
-        assert grid == 16
+        # Both groups of the stream read one shared event store.
+        assert list(stats["streams"]) == [STREAM]
+        assert {g["retained"] for g in stats["groups"]} == \
+            {stats["streams"][STREAM]["retained"]}
+        assert [g["calendar"] for g in stats["groups"]] == [1, 1]
+        assert stats["routes"] == 2
+
+
+class TestTracerCounters:
+    """``mq_windows``/``mq_combines`` counters per qid equal the
+    accounts' own totals (the ledger is hashed once per evaluation,
+    but the tracer still sees every subscriber's windows)."""
+
+    def test_engine_counters_match_accounts(self):
+        tracer = RunTracer()
+        engine = MultiQueryEngine(chunk_size=64, tracer=tracer)
+        rng = np.random.default_rng(3)
+        for spec in ("sum:96", "sum:96", "avg:80:16", "median:72:24"):
+            engine.admit(STREAM, spec)
+        pos = 0
+        for i, n in enumerate([100, 37, 256, 64, 129, 200]):
+            if i == 2:
+                engine.admit(STREAM, "max:64:16")
+                engine.remove("q0")  # the dedup owner: q1 pays next
+            engine.append(STREAM, value_batch(rng, n, start=pos))
+            pos += n
+        accounts = engine.accounts()
+        assert all(a.windows > 0 for a in accounts.values())
+        assert accounts["q1"].combines > 0
+        assert tracer.counter("mq_admitted", STREAM) == 5
+        assert tracer.counter("mq_removed", STREAM) == 1
+        for qid, account in accounts.items():
+            assert tracer.counter("mq_windows", qid) == account.windows
+            assert tracer.counter("mq_combines", qid) == account.combines
+
+    def test_run_counters_match_accounts(self):
+        tracer = RunTracer()
+        result, _ = run_scheme(RunConfig(scheme="deco_async",
+                                         queries=QUERIES, trace=True,
+                                         **TINY), tracer=tracer)
+        assert sum(a["windows"] for a in result.queries.values()) > 0
+        for qid, acct in result.queries.items():
+            assert tracer.counter("mq_windows", qid) == acct["windows"]
+            assert tracer.counter("mq_combines", qid) == acct["combines"]
+
+
+class TestBoundedMemory:
+    """Soak: many admit/remove cycles over a long stream (CI-sized,
+    ~60k events).  Storage must plateau, not grow with stream length
+    or with the number of queries ever admitted."""
+
+    #: Regular queries cycle through every aggregate group; ``BRIEF``
+    #: queries are removed one cycle after admission, long before their
+    #: first window is due, so their calendar entries die in the heap.
+    POOL = tuple(f"{agg}:{n}" if d == 1 else f"{agg}:{n}:{n // d}"
+                 for n in (128, 512, 1500) for d in (1, 2)
+                 for agg in ("sum", "avg", "min", "max", "median"))
+    BRIEF = ("sum:65536", "avg:50000:25000", "max:40000")
+    CYCLES, BURST, LIVE, BATCH, BATCHES = 120, 6, 24, 128, 4
+    SIZES = ("retained", "capacity", "edge_slices", "calendar",
+             "nodes_cached", "routes")
+
+    @staticmethod
+    def numpy_bytes():
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        return sum(trace.size for trace in snapshot.traces)
+
+    def sizes(self, engine):
+        stats = engine.stats()
+        groups = stats["groups"]
+        return {
+            **stats["streams"][STREAM],
+            "edge_slices": sum(g["edge_slices"] for g in groups),
+            "calendar": max(g["calendar"] for g in groups),
+            "dead": max(g["calendar"] - g["evals"] for g in groups),
+            "nodes_cached": sum(g["nodes_cached"] for g in groups),
+            "routes": stats["routes"],
+        }
+
+    def test_soak_storage_plateaus(self):
+        n = self.CYCLES * self.BATCHES * self.BATCH
+        values = np.random.default_rng(1).uniform(-1e3, 1e3, n)
+        ids = np.arange(n)
+        engine = MultiQueryEngine(chunk_size=64)
+        live, brief, pos, admitted = [], [], 0, 0
+        samples, memory = [], []
+        tracemalloc.start()
+        try:
+            for cycle in range(self.CYCLES):
+                for j in range(self.BURST):
+                    spec = self.POOL[admitted % len(self.POOL)]
+                    live.append(engine.admit(STREAM, spec,
+                                             at=pos + 17 * j))
+                    admitted += 1
+                for _ in range(self.BATCHES):
+                    cut = slice(pos, pos + self.BATCH)
+                    engine.append(STREAM, EventBatch(
+                        ids[cut], values[cut], ids[cut]))
+                    pos += self.BATCH
+                while len(live) > self.LIVE:
+                    engine.remove(live.pop(0))
+                for qid in brief:
+                    engine.remove(qid)
+                brief = [engine.admit(STREAM, spec, at=pos + 5)
+                         for spec in self.BRIEF]
+                samples.append(self.sizes(engine))
+                if cycle % 10 == 0:
+                    memory.append((len(engine.accounts()),
+                                   self.numpy_bytes(),
+                                   tracemalloc.get_traced_memory()[0]))
+        finally:
+            tracemalloc.stop()
+
+        half = self.CYCLES // 2
+        for key in self.SIZES:
+            early = max(s[key] for s in samples[10:half])
+            late = max(s[key] for s in samples[half:])
+            assert late <= early, f"{key} grows: {early} -> {late}"
+        # Lazily deleted calendar entries did pile up, and compaction
+        # bounded them.
+        assert max(s["dead"] for s in samples) > 2 * len(self.BRIEF)
+        assert max(s["calendar"] for s in samples) < 64
+        assert samples[-1]["routes"] == self.LIVE + len(self.BRIEF)
+        # Array memory (the event store) plateaus; the Python heap
+        # grows only by the retained accounts of removed queries.
+        mid, last = memory[len(memory) // 2], memory[-1]
+        assert last[1] <= max(m[1] for m in memory[1:len(memory) // 2])
+        per_account = ((last[2] - last[1]) - (mid[2] - mid[1])) / \
+            (last[0] - mid[0])
+        assert per_account < 1024, per_account
 
 
 #: Query populations mixing tumbling/sliding shapes and decomposable/
@@ -260,18 +428,25 @@ class TestSharingBitIdentity:
 
 class TestSchemeFingerprints:
     @pytest.mark.parametrize("scheme", FINGERPRINT_SCHEMES)
-    def test_fingerprint_invariant_under_sharing_toggle(self, scheme,
-                                                        monkeypatch):
+    def test_fingerprint_invariant_under_sharing_toggle(self, scheme):
         """The acceptance gate: per-query result streams AND scheme
-        results are bit-identical with sharing on or off, for every
-        scheme."""
-        def fingerprint(env_value):
-            monkeypatch.setenv(QUERY_SHARING_ENV, env_value)
-            result, _ = run_scheme(
-                RunConfig(scheme=scheme, queries=QUERIES, **TINY))
-            return Fingerprint.of(result)
-
-        on, off = fingerprint("1"), fingerprint("0")
+        results are bit-identical whether one engine serves every
+        query (sharing on) or each query runs alone (sharing off: one
+        run per spec, so its engine serves that query only)."""
+        result, _ = run_scheme(
+            RunConfig(scheme=scheme, queries=QUERIES, **TINY))
+        on = Fingerprint.of(result)
+        scheme_fp, queries = None, []
+        for j, spec in enumerate(QUERIES):
+            alone, _ = run_scheme(
+                RunConfig(scheme=scheme, queries=(spec,), **TINY))
+            fp = Fingerprint.of(alone)
+            assert scheme_fp in (None, replace(fp, queries=()))
+            scheme_fp = replace(fp, queries=())
+            for i in range(TINY["n_nodes"]):
+                queries.append((f"q{i * len(QUERIES) + j}",
+                                alone.queries[f"q{i}"]["fingerprint"]))
+        off = replace(scheme_fp, queries=tuple(sorted(queries)))
         assert on.queries, "no standing-query accounts in fingerprint"
         assert on == off, "\n".join(on.diff(off))
 

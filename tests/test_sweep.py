@@ -52,12 +52,10 @@ class TestEnvPropagation:
 
     def test_propagated_env_matches_canonical_flags(self):
         from repro.core.agg_index import INDEX_ENV_VAR
-        from repro.core.multiquery import QUERY_SHARING_ENV
         from repro.core.workload import SPILL_DIR_ENV
         from repro.wire.codec import WIRE_ENV_VAR
         assert set(PROPAGATED_ENV) == {WIRE_ENV_VAR, INDEX_ENV_VAR,
-                                       SPILL_DIR_ENV,
-                                       QUERY_SHARING_ENV}
+                                       SPILL_DIR_ENV}
 
     def test_snapshot_env_captures_only_set_flags(self, monkeypatch):
         for key in PROPAGATED_ENV:
